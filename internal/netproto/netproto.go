@@ -1,7 +1,10 @@
 // Package netproto is the wire protocol between the DSS (federation)
-// server, the remote site servers, and clients: gob-encoded request /
-// response pairs over a TCP connection, one outstanding request per
-// connection at a time.
+// server, the remote site servers, and clients: request / response pairs
+// over a TCP connection, one outstanding request per connection at a
+// time. gob frames the messages; every *relation.Table a message carries
+// (Response.Result, BatchItem.Result) travels inside it as one columnar
+// binary blob (relation.Table.MarshalBinary), so shipping a table costs a
+// few allocations rather than several per cell.
 package netproto
 
 import (
@@ -285,7 +288,9 @@ func (r *Response) ErrOrNil() error {
 	return &RemoteError{Msg: r.Err, Degraded: r.Degraded, Expired: r.Expired}
 }
 
-// Conn wraps a network connection with gob codecs.
+// Conn wraps a network connection with a gob encoder and decoder: gob
+// frames each message, and tables inside it use their own columnar
+// encoding. A table whose rows disagree with its schema fails to encode.
 type Conn struct {
 	raw net.Conn
 	enc *gob.Encoder

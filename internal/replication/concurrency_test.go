@@ -43,7 +43,12 @@ func TestManagerConcurrentAdvanceStateFor(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		at := core.Time(0)
+		// The live timeline starts past the clock the other writer walks:
+		// Advance would otherwise complete this table's predicted syncs
+		// ahead of the agent, and the agent's next real completion would
+		// then precede them, which RecordSync rightly refuses. No caller
+		// drives one table through both, so only the locking is shared.
+		at := core.Time(iters)
 		for i := 0; i < iters; i++ {
 			at += .5
 			if err := m.RecordSync("live", at); err != nil {

@@ -128,22 +128,8 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 		}
 	}
 
-	// Honour a delayed plan, bounded by MaxDelay — and by the request
-	// context: a deadline that fires mid-delay aborts before any work runs.
-	if delay := s.wallDelay(plan.Start - s.now()); delay > 0 {
-		if delay > s.cfg.MaxDelay {
-			delay = s.cfg.MaxDelay
-		}
-		t := wall.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, nil, context.Cause(ctx)
-		case <-s.closed:
-			t.Stop()
-			return nil, nil, fmt.Errorf("server shutting down")
-		}
+	if err := s.holdPlan(ctx, plan); err != nil {
+		return nil, nil, err
 	}
 
 	result, freshness, degradedExec, err := s.executePlan(ctx, stmt, plan)
@@ -178,9 +164,6 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 	} else {
 		s.stats.Counter("plans_mixed_total").Inc()
 	}
-	if plan.Start > q.SubmitAt {
-		s.stats.Counter("plans_delayed_total").Inc()
-	}
 	if degraded {
 		s.stats.Counter("degraded_answers_total").Inc()
 	}
@@ -196,6 +179,32 @@ func (s *DSSServer) runOne(ctx context.Context, stmt *sqlmini.SelectStmt, q core
 		Value:         value,
 		Degraded:      degraded,
 	}, nil
+}
+
+// holdPlan honours a delayed plan, waiting until its release time bounded
+// by MaxDelay — and by the request context: a deadline that fires
+// mid-delay aborts before any work runs. Only a plan actually held back
+// counts in plans_delayed_total; one released at or before now (every
+// plan starts after its submission) runs at once.
+func (s *DSSServer) holdPlan(ctx context.Context, plan core.Plan) error {
+	delay := s.wallDelay(plan.Start - s.now())
+	if delay <= 0 {
+		return nil
+	}
+	s.stats.Counter("plans_delayed_total").Inc()
+	if delay > s.cfg.MaxDelay {
+		delay = s.cfg.MaxDelay
+	}
+	t := wall.NewTimer(delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return context.Cause(ctx)
+	case <-s.closed:
+		return fmt.Errorf("server shutting down")
+	}
 }
 
 // executePlan evaluates the statement with per-table data sources chosen
@@ -223,6 +232,10 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 	cat := make(sqlmini.MapCatalog, len(plan.Access))
 	oldest := math.Inf(1)
 	degraded := false
+	// Tables fetched from a site serve this statement only: release them
+	// from the shared cache afterwards so it keeps just replica images.
+	var fetched []*relation.Table
+	defer func() { s.execOpts.Cache.Forget(fetched...) }()
 	for _, a := range plan.Access {
 		switch a.Kind {
 		case core.AccessReplica:
@@ -278,6 +291,7 @@ func (s *DSSServer) executePlan(ctx context.Context, stmt *sqlmini.SelectStmt, p
 			result := resp.Result
 			result.Name = string(a.Table)
 			cat.Add(string(a.Table), result)
+			fetched = append(fetched, result)
 			oldest = math.Min(oldest, fetchedAt)
 		case core.AccessView:
 			// A view materializes a whole answer; the bypass above is the

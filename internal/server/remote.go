@@ -34,6 +34,9 @@ type RemoteServer struct {
 	// requestTimeout is a server-side cap on each request's work,
 	// composed with (never extending) the caller's wire deadline.
 	requestTimeout time.Duration
+	// execOpts runs pushed-down SQL over a cache of the base tables'
+	// columnar images; its row-count check notices appends.
+	execOpts sqlmini.Options
 
 	listener  net.Listener
 	live      connSet
@@ -45,8 +48,9 @@ type RemoteServer struct {
 // NewRemoteServer returns a server with no tables.
 func NewRemoteServer() *RemoteServer {
 	return &RemoteServer{
-		tables: make(map[string]*relation.Table),
-		closed: make(chan struct{}),
+		tables:   make(map[string]*relation.Table),
+		execOpts: sqlmini.Options{Cache: sqlmini.NewExecCache()},
+		closed:   make(chan struct{}),
 	}
 }
 
@@ -165,20 +169,14 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		if err := s.waitScanDelay(ctx); err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: true}
 		}
-		s.mu.RLock()
-		t, ok := s.tables[strings.ToLower(req.Table)]
-		var snapshot *relation.Table
-		if ok {
-			snapshot = t.Clone()
-		}
-		s.mu.RUnlock()
+		snapshot, ok := s.prefix(req.Table)
 		if !ok {
 			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
 		}
 		return &netproto.Response{Result: snapshot}
 
 	case netproto.KindSnapshot:
-		// A versioned full copy for replication: the version is the row
+		// A versioned full image for replication: the version is the row
 		// count, which is a complete change cursor because base tables are
 		// append-only (Insert is the only mutation). A view pull carries a
 		// delta projection (Filter/Columns); the version still counts base
@@ -186,13 +184,7 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		if err := s.waitScanDelay(ctx); err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: true}
 		}
-		s.mu.RLock()
-		t, ok := s.tables[strings.ToLower(req.Table)]
-		var snapshot *relation.Table
-		if ok {
-			snapshot = t.Clone()
-		}
-		s.mu.RUnlock()
+		snapshot, ok := s.prefix(req.Table)
 		if !ok {
 			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
 		}
@@ -214,37 +206,23 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		if err := s.waitScanDelay(ctx); err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: true}
 		}
-		s.mu.RLock()
-		t, ok := s.tables[strings.ToLower(req.Table)]
-		var version uint64
-		var rows []relation.Row
-		var schema *relation.Table
-		resync := false
-		if ok {
-			version = uint64(t.NumRows())
-			if req.Cursor > version {
-				resync = true
-			} else {
-				tail := t.Rows[req.Cursor:]
-				rows = make([]relation.Row, len(tail))
-				for i, r := range tail {
-					rows[i] = r.Clone()
-				}
-				schema = t
-			}
-		}
-		s.mu.RUnlock()
+		snapshot, ok := s.prefix(req.Table)
 		if !ok {
 			return &netproto.Response{Err: fmt.Sprintf("no table %q", req.Table)}
 		}
-		if !resync && (req.Filter != "" || req.Columns != nil) {
-			shipped, err := projectForWire(ctx, schema, rows, req.Filter, req.Columns)
+		version := uint64(snapshot.NumRows())
+		if req.Cursor > version {
+			return &netproto.Response{Version: version, Resync: true}
+		}
+		rows := snapshot.Rows[req.Cursor:]
+		if req.Filter != "" || req.Columns != nil {
+			shipped, err := projectForWire(ctx, snapshot, rows, req.Filter, req.Columns)
 			if err != nil {
 				return &netproto.Response{Err: err.Error(), Expired: ctx.Err() != nil}
 			}
 			rows = shipped.Rows
 		}
-		return &netproto.Response{DeltaRows: rows, Version: version, Resync: resync}
+		return &netproto.Response{DeltaRows: rows, Version: version}
 
 	case netproto.KindExec:
 		if err := s.waitScanDelay(ctx); err != nil {
@@ -252,7 +230,7 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 		}
 		s.mu.RLock()
 		cat := sqlmini.NewMapCatalog(s.tables)
-		out, err := sqlmini.RunContext(ctx, req.SQL, cat)
+		out, err := sqlmini.RunWith(ctx, req.SQL, cat, s.execOpts)
 		s.mu.RUnlock()
 		if err != nil {
 			return &netproto.Response{Err: err.Error(), Expired: ctx.Err() != nil}
@@ -276,6 +254,22 @@ func (s *RemoteServer) handle(req *netproto.Request) *netproto.Response {
 	default:
 		return &netproto.Response{Err: fmt.Sprintf("unsupported request kind %d", int(req.Kind))}
 	}
+}
+
+// prefix returns the named table as it stands now, without copying: its
+// rows up to the current count, capped there. Base tables are append-only
+// (Insert is their only mutation), so the prefix taken under the read lock
+// stays valid after it is released, while later inserts land beyond its
+// capacity. Callers must treat the rows as read-only.
+func (s *RemoteServer) prefix(name string) (*relation.Table, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, ok := s.tables[strings.ToLower(name)]
+	if !ok {
+		return nil, false
+	}
+	n := len(t.Rows)
+	return &relation.Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows[:n:n]}, true
 }
 
 // projectForWire applies a view's delta projection — the ViewWire filter

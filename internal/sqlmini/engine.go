@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -187,6 +188,49 @@ func (c *ExecCache) joinIndex(ctx context.Context, t *relation.Table, ct *relati
 	c.builds[key] = idx
 	c.mu.Unlock()
 	return idx, nil
+}
+
+// Forget drops the columnar images and join builds of the given tables.
+// Entries are keyed by pointer, so a table read by one statement only (a
+// fetch from a remote site) would otherwise stay reachable until its map
+// next fills; callers release such tables once the statement is done.
+func (c *ExecCache) Forget(ts ...*relation.Table) {
+	if len(ts) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range ts {
+		delete(c.cols, t)
+	}
+	for k := range c.builds {
+		for _, t := range ts {
+			if k.t == t {
+				delete(c.builds, k)
+				break
+			}
+		}
+	}
+}
+
+// Names returns the names of the tables the cache holds an image or a
+// join build for, sorted, one entry per cached table version.
+func (c *ExecCache) Names() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held := make(map[*relation.Table]bool, len(c.cols))
+	for t := range c.cols {
+		held[t] = true
+	}
+	for k := range c.builds {
+		held[k.t] = true
+	}
+	names := make([]string, 0, len(held))
+	for t := range held {
+		names = append(names, t.Name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func keySig(keys []int) string {

@@ -1,13 +1,13 @@
 // Package lockcheck flags calls that can block on the network while a
 // sync.Mutex/RWMutex locked in the same function is still held. A
 // round-trip under the server lock turns one slow branch site into a
-// full coordinator stall — the hazard the copy-on-write replica swap
-// exists to avoid. The walk is linear and type-aware: Lock/RLock and
-// Unlock/RUnlock pairs are tracked by receiver expression within a
-// function body (a deferred unlock holds to function end), and only
-// methods resolved to the sync package count as lock operations — so a
-// type that merely embeds a mutex is tracked, and an unrelated Lock
-// method is not. Blocking callees are classified by their package's
+// full coordinator stall — the hazard that publishing replica versions
+// under the lock, and reading them after it, exists to avoid. The walk is
+// linear and type-aware: Lock/RLock and Unlock/RUnlock pairs are tracked
+// by receiver expression within a function body (a deferred unlock holds
+// to function end), and only methods resolved to the sync package count
+// as lock operations — so a type that merely embeds a mutex is tracked,
+// and an unrelated Lock method is not. Blocking callees are classified by their package's
 // import path (netproto/replsync/federation under any alias) or by a
 // known round-trip method name. lockflowcheck extends the same walk
 // across function boundaries via the package call graph.

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -339,5 +340,40 @@ func TestCalibrate(t *testing.T) {
 	}
 	if _, err := engine.Calibrate(q, sql, model, 0); err == nil {
 		t.Error("zero perMinute accepted")
+	}
+}
+
+// TestEngineCacheHoldsOneImagePerReplica: every sync event clones the base
+// table into a fresh replica version, and each version is read once. The
+// engine's shared exec cache must keep one image per table name, not one
+// per version ever read.
+func TestEngineCacheHoldsOneImagePerReplica(t *testing.T) {
+	_, engine, mgr := buildTestWorld(t)
+	q := core.Query{ID: "q", Tables: []core.TableID{"accounts", "trades"}, BusinessValue: 1}
+	sql := `SELECT count(*) AS n FROM accounts a, trades tr WHERE a.a_id = tr.t_account`
+	plan := core.Plan{Query: q, Access: []core.TableAccess{
+		{Table: "accounts", Site: 1, Kind: core.AccessReplica},
+		{Table: "trades", Site: 2, Kind: core.AccessBase},
+	}}
+	base, err := engine.sites[1].Table("accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, at := range []core.Time{0, 10, 20} {
+		if events := mgr.Advance(at); len(events) != 1 {
+			t.Fatalf("sync %d: %d events, want 1", k, len(events))
+		}
+		out, err := engine.ExecutePlan(sql, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each sync adds one account id 1 row: its two trades join again.
+		if got, want := out.Rows[0][0].I, int64(3+2*k); got != want {
+			t.Fatalf("sync %d: joined %d rows, want %d", k, got, want)
+		}
+		if names := fmt.Sprint(engine.execOpts.Cache.Names()); names != "[accounts trades]" {
+			t.Fatalf("after sync %d the cache holds %s, want one image per table", k, names)
+		}
+		base.MustInsert(relation.Row{relation.IntVal(1), relation.FloatVal(float64(k))})
 	}
 }

@@ -9,9 +9,12 @@ package netproto
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"net"
+	"sort"
 	"time"
 
 	"ivdss/internal/relation"
@@ -63,7 +66,11 @@ const (
 
 // GossipDigest is the wire form of one shard's anti-entropy state summary
 // (internal/cluster.Digest): queue depth, breaker state, and replica
-// freshness, versioned per node so merges are order-free.
+// freshness, versioned per node so merges are order-free. Its sets travel
+// as slices, not maps: gob sizes a decoded map by the entry count the
+// sender claims before reading any entry, so a few hundred bytes could
+// make the receiver allocate gigabytes, while a slice is allocated at
+// most a bounded chunk ahead of the bytes that fill it.
 type GossipDigest struct {
 	Node    int
 	Version uint64
@@ -76,11 +83,18 @@ type GossipDigest struct {
 	Slots      int
 	// TotalIV is the shard's cumulative delivered information value.
 	TotalIV float64
-	// OpenBreakers flags remote sites the shard currently sees down.
-	OpenBreakers map[int]bool
-	// Freshness maps replicated table names to last-sync stamps
-	// (experiment minutes) — the coverage set work-stealing checks.
-	Freshness map[string]float64
+	// OpenBreakers lists the remote sites the shard currently sees down.
+	OpenBreakers []int
+	// Freshness lists the replicated tables with their last-sync stamps —
+	// the coverage set work-stealing checks.
+	Freshness []TableStamp
+}
+
+// TableStamp is one replicated table's last-sync stamp (experiment
+// minutes) in a gossip digest.
+type TableStamp struct {
+	Table string
+	At    float64
 }
 
 // SiteStatus describes one remote site's health as the DSS sees it, for
@@ -241,7 +255,7 @@ type Response struct {
 	Replicas    []ReplicaStatus
 	Views       []ViewStatus
 	Sites       []SiteStatus
-	Metrics     map[string]float64
+	Metrics     Metrics
 	Batch       []BatchItem
 	// Version is the table version accompanying KindSnapshot and KindDelta
 	// responses: the count of rows ever inserted into the base table.
@@ -254,6 +268,56 @@ type Response struct {
 	Resync bool
 	// Gossip carries the callee's digest answering KindGossip.
 	Gossip *GossipDigest
+}
+
+// Metrics is a snapshot of named metric values. On the wire it is a
+// counted list of name/value pairs rather than a gob map, whose decoder
+// would size the map by the claimed count before reading an entry; here
+// the count is checked against the bytes that must carry it first.
+type Metrics map[string]float64
+
+// GobEncode writes the entry count, then each name (length-prefixed) and
+// its value as 8 little-endian bytes, in name order.
+func (m Metrics) GobEncode() ([]byte, error) {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	buf := binary.AppendUvarint(nil, uint64(len(names)))
+	for _, name := range names {
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m[name]))
+	}
+	return buf, nil
+}
+
+// GobDecode reads what GobEncode writes, refusing counts and lengths the
+// remaining bytes cannot hold.
+func (m *Metrics) GobDecode(data []byte) error {
+	count, k := binary.Uvarint(data)
+	// Each entry takes at least a length byte and eight value bytes.
+	if k <= 0 || count > uint64(len(data)-k)/9 {
+		return fmt.Errorf("netproto: metrics: bad entry count")
+	}
+	data = data[k:]
+	out := make(Metrics, count)
+	for i := uint64(0); i < count; i++ {
+		n, k := binary.Uvarint(data)
+		if k <= 0 || n > uint64(len(data)-k) || uint64(len(data)-k)-n < 8 {
+			return fmt.Errorf("netproto: metrics: entry %d truncated", i)
+		}
+		name := string(data[k : k+int(n)])
+		data = data[k+int(n):]
+		out[name] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("netproto: metrics: %d trailing bytes", len(data))
+	}
+	*m = out
+	return nil
 }
 
 // RemoteError is the typed client-side form of a server-reported error.

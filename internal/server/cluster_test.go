@@ -94,7 +94,7 @@ func TestClusterGossipHandlerAnswersDigest(t *testing.T) {
 			Node:       1,
 			Version:    41,
 			QueueDepth: 6,
-			Freshness:  map[string]float64{"accounts": 3},
+			Freshness:  []netproto.TableStamp{{Table: "accounts", At: 3}},
 		},
 	}, 2*time.Second)
 	if err != nil {

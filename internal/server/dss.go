@@ -227,9 +227,10 @@ func (c DSSConfig) withDefaults() DSSConfig {
 	return c
 }
 
-// replicaSnapshot is one synchronized table copy plus its freshness.
+// replicaSnapshot is one synchronized table version plus its freshness.
 type replicaSnapshot struct {
-	table    *relation.Table
+	table    *relation.Table // published version, Rows capped at their length
+	rows     []relation.Row  // table.Rows uncapped: deltas append here
 	syncedAt core.Time
 }
 
@@ -283,6 +284,7 @@ type DSSServer struct {
 	// over Workers slots); baseCtx roots every request context and is
 	// cancelled on Close.
 	engine     *scheduler.Engine
+	depthMu    sync.Mutex // orders admission_queue_depth writes
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	svcMu      sync.Mutex

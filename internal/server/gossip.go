@@ -64,17 +64,13 @@ func digestToWire(d cluster.Digest) *netproto.GossipDigest {
 		Slots:      d.Slots,
 		TotalIV:    d.TotalIV,
 	}
-	if len(d.OpenBreakers) > 0 {
-		g.OpenBreakers = make(map[int]bool, len(d.OpenBreakers))
-		for site, v := range d.OpenBreakers {
-			g.OpenBreakers[int(site)] = v
+	for _, site := range sortedKeys(d.OpenBreakers) {
+		if d.OpenBreakers[site] {
+			g.OpenBreakers = append(g.OpenBreakers, int(site))
 		}
 	}
-	if len(d.Freshness) > 0 {
-		g.Freshness = make(map[string]float64, len(d.Freshness))
-		for id, t := range d.Freshness {
-			g.Freshness[string(id)] = float64(t)
-		}
+	for _, id := range sortedKeys(d.Freshness) {
+		g.Freshness = append(g.Freshness, netproto.TableStamp{Table: string(id), At: float64(d.Freshness[id])})
 	}
 	return g
 }
@@ -91,14 +87,14 @@ func digestFromWire(g *netproto.GossipDigest) cluster.Digest {
 	}
 	if len(g.OpenBreakers) > 0 {
 		d.OpenBreakers = make(map[core.SiteID]bool, len(g.OpenBreakers))
-		for site, v := range g.OpenBreakers {
-			d.OpenBreakers[core.SiteID(site)] = v
+		for _, site := range g.OpenBreakers {
+			d.OpenBreakers[core.SiteID(site)] = true
 		}
 	}
 	if len(g.Freshness) > 0 {
 		d.Freshness = make(map[core.TableID]core.Time, len(g.Freshness))
-		for id, t := range g.Freshness {
-			d.Freshness[core.TableID(id)] = core.Time(t)
+		for _, st := range g.Freshness {
+			d.Freshness[core.TableID(st.Table)] = core.Time(st.At)
 		}
 	}
 	return d

@@ -187,8 +187,11 @@ func (s *DSSServer) onDrop(o core.Outcome, payload any) {
 }
 
 // noteQueueDepth mirrors the engine's queue length into the admission
-// gauge.
+// gauge. Reads and writes are serialized, so the last write reads the
+// latest length: two racing callers cannot leave the older one behind.
 func (s *DSSServer) noteQueueDepth() {
+	s.depthMu.Lock()
+	defer s.depthMu.Unlock()
 	s.stats.Gauge("admission_queue_depth").Set(float64(s.engine.QueueLen()))
 }
 

@@ -22,7 +22,7 @@ func runStarvationScenario(t *testing.T, aging core.Aging) int {
 	t.Helper()
 	remote, remoteAddr := startRemote(t, accountsTable(t), tradesTable(t))
 	remote.SetScanDelay(150 * time.Millisecond)
-	_, dssAddr := startDSSWith(t, DSSConfig{
+	dss, dssAddr := startDSSWith(t, DSSConfig{
 		Remotes:   map[core.SiteID]string{1: remoteAddr},
 		Rates:     core.DiscountRates{CL: .05, SL: .05},
 		TimeScale: 10,
@@ -48,18 +48,41 @@ func runStarvationScenario(t *testing.T, aging core.Aging) int {
 		finishes <- finish{cheap: cheap, at: time.Now()}
 	}
 
+	// Arrival order is asserted on the server's own gauges, not slept
+	// for: dispatches count into queries_total, and the queue depth
+	// counts the queries waiting for the slot.
+	dispatched := dss.stats.Counter("queries_total")
+	queued := dss.stats.Gauge("admission_queue_depth")
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
 	// The blocker takes the only slot.
 	wg.Add(1)
 	go call("SELECT count(*) AS n FROM trades", 1, false)
-	time.Sleep(100 * time.Millisecond)
+	await("the blocker's dispatch", func() bool { return dispatched.Value() == 1 })
 	// The cheap query queues first...
 	wg.Add(1)
 	go call("SELECT sum(t_amount) AS s FROM trades", .2, true)
-	time.Sleep(30 * time.Millisecond)
-	// ...then a convoy of full-value queries piles in behind it.
+	await("the cheap query to queue", func() bool { return queued.Value() == 1 })
+	// ...and is older than the convoy by a fixed margin: aging ranks by
+	// queue time, so this sleep sets an age difference, not an order.
+	time.Sleep(50 * time.Millisecond)
+	// Then a convoy of full-value queries piles in behind it, all while
+	// the blocker still holds the slot.
 	for i := 0; i < 5; i++ {
 		wg.Add(1)
 		go call("SELECT count(*) AS n FROM trades", 1, false)
+	}
+	await("the convoy to queue", func() bool { return queued.Value() == 6 || dispatched.Value() > 1 })
+	if n := dispatched.Value(); n != 1 {
+		t.Fatalf("%d dispatches before the convoy had queued, want only the blocker", n)
 	}
 	wg.Wait()
 	close(finishes)

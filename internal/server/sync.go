@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ivdss/internal/advisor"
 	"ivdss/internal/core"
@@ -15,10 +16,12 @@ import (
 // The fetcher speaks the versioned netproto replication kinds through the
 // full fault-tolerance stack (pool, retries, breaker), so a sync against a
 // site whose breaker is open surfaces faults.OpenError and the agent
-// defers the cycle instead of burning retries. The applier swaps replica
-// snapshots copy-on-write under the server lock, stamping the same instant
-// into the replication manager, so planner freshness and replica contents
-// never disagree.
+// defers the cycle instead of burning retries. The applier publishes each
+// replica version under the server lock, stamping the same instant into
+// the replication manager, so planner freshness and replica contents
+// never disagree. Base tables are append-only, so a delta grows the
+// replica's own row slice and the new version is a longer capped prefix
+// of it: no apply copies the rows already held.
 
 // siteFetcher implements replsync.Fetcher over the wire.
 type siteFetcher struct{ s *DSSServer }
@@ -99,8 +102,8 @@ func rowsBytes(rows []relation.Row) int64 {
 }
 
 // replicaApplier implements replsync.Applier over the server's replica
-// store. Every apply is an atomic swap under s.mu, so readers see either
-// the old or the new copy, never a half-applied one.
+// store. Every apply publishes a new version under s.mu, so readers see
+// either the old or the new one, never a half-applied one.
 type replicaApplier struct{ s *DSSServer }
 
 func (ap replicaApplier) ApplySnapshot(id core.TableID, snap replsync.Snapshot, at core.Time) error {
@@ -111,9 +114,12 @@ func (ap replicaApplier) ApplySnapshot(id core.TableID, snap replsync.Snapshot, 
 		return fmt.Errorf("server: snapshot of %s carried no table", id)
 	}
 	snap.Table.Name = string(id)
+	// Capped, the shipped rows are the replica's own: the first delta
+	// reallocates rather than write into an array another holder extends.
+	snap.Table.Rows = slices.Clip(snap.Table.Rows)
 	s := ap.s
 	s.mu.Lock()
-	s.replicas[id] = replicaSnapshot{table: snap.Table, syncedAt: at}
+	s.replicas[id] = replicaSnapshot{table: snap.Table, rows: snap.Table.Rows, syncedAt: at}
 	s.mu.Unlock()
 	s.stats.Counter("replica_syncs_total").Inc()
 	return nil
@@ -130,20 +136,21 @@ func (ap replicaApplier) ApplyDelta(id core.TableID, delta replsync.Delta, at co
 	if !ok {
 		return fmt.Errorf("server: delta for %s but no replica snapshot", id)
 	}
-	if len(delta.Rows) == 0 {
-		// Nothing changed upstream: same contents, fresher stamp.
-		s.replicas[id] = replicaSnapshot{table: cur.table, syncedAt: at}
-	} else {
-		// Copy-on-write: in-flight queries hold the old pointer; the
-		// appended copy swaps in whole.
-		next := cur.table.Clone()
+	if len(delta.Rows) > 0 {
+		// Append past the published length, where no reader looks. A
+		// rejected row returns before anything is published; the next
+		// delta reuses the slots it wrote.
+		next := &relation.Table{Name: cur.table.Name, Schema: cur.table.Schema, Rows: cur.rows}
 		for i, row := range delta.Rows {
 			if err := next.Insert(row); err != nil {
 				return fmt.Errorf("server: delta row %d for %s: %w", i, id, err)
 			}
 		}
-		s.replicas[id] = replicaSnapshot{table: next, syncedAt: at}
+		cur.rows, next.Rows = next.Rows, slices.Clip(next.Rows)
+		cur.table = next
 	}
+	cur.syncedAt = at // an empty delta only freshens the stamp
+	s.replicas[id] = cur
 	s.stats.Counter("replica_syncs_total").Inc()
 	return nil
 }

@@ -116,27 +116,23 @@ func (c *onceCatalog) Table(name string) (*relation.Table, error) {
 	return t, nil
 }
 
-// execCacheCap bounds each cache map; when a map fills (pointer-keyed
-// entries for tables that no longer exist just accumulate), the whole map
-// is dropped and re-warms from the live working set.
-const execCacheCap = 128
-
 // ExecCache holds columnar images of row-major tables and hash-join build
-// indexes, keyed by table pointer identity. Replica snapshots are swapped
-// copy-on-write, so a pointer uniquely names one version of a table's
-// contents; a row-count check additionally invalidates entries for
-// append-mutated tables. A micro-batch workload that scans and joins the
-// same snapshots repeatedly pays the columnar conversion and the join
-// build once.
+// indexes, one entry per table name. A hit needs the table pointer the
+// entry was built from and, for an image, its row count: a replica
+// version is a fresh pointer, and an append in place changes the count.
+// A miss replaces the name's entry, so a new version evicts its
+// predecessor. A micro-batch workload that scans and joins the same
+// snapshots repeatedly pays the columnar conversion and the join build
+// once.
 type ExecCache struct {
-	mu     sync.Mutex
-	cols   map[*relation.Table]*relation.ColTable
-	builds map[buildKey]*relation.JoinIndex
+	mu      sync.Mutex
+	entries map[string]*cacheEntry
 }
 
-type buildKey struct {
-	t   *relation.Table
-	sig string // key column positions, e.g. "3,7"
+type cacheEntry struct {
+	t      *relation.Table
+	cols   *relation.ColTable
+	builds map[string]*relation.JoinIndex // by key column positions, e.g. "3,7"
 }
 
 // NewExecCache returns an empty cache.
@@ -149,9 +145,9 @@ func NewExecCache() *ExecCache {
 // but never block each other on it.
 func (c *ExecCache) columnar(t *relation.Table) (*relation.ColTable, error) {
 	c.mu.Lock()
-	if ct, ok := c.cols[t]; ok && ct.N == len(t.Rows) {
+	if e := c.entries[t.Name]; e != nil && e.t == t && e.cols.N == len(t.Rows) {
 		c.mu.Unlock()
-		return ct, nil
+		return e.cols, nil
 	}
 	c.mu.Unlock()
 	ct, err := relation.Columnar(t)
@@ -159,10 +155,10 @@ func (c *ExecCache) columnar(t *relation.Table) (*relation.ColTable, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	if c.cols == nil || len(c.cols) >= execCacheCap {
-		c.cols = make(map[*relation.Table]*relation.ColTable)
+	if c.entries == nil {
+		c.entries = make(map[string]*cacheEntry)
 	}
-	c.cols[t] = ct
+	c.entries[t.Name] = &cacheEntry{t: t, cols: ct, builds: make(map[string]*relation.JoinIndex)}
 	c.mu.Unlock()
 	return ct, nil
 }
@@ -170,11 +166,13 @@ func (c *ExecCache) columnar(t *relation.Table) (*relation.ColTable, error) {
 // joinIndex returns the cached build index for t's columnar image ct over
 // the given key positions, building on miss.
 func (c *ExecCache) joinIndex(ctx context.Context, t *relation.Table, ct *relation.ColTable, keys []int) (*relation.JoinIndex, error) {
-	key := buildKey{t: t, sig: keySig(keys)}
+	sig := keySig(keys)
 	c.mu.Lock()
-	if idx, ok := c.builds[key]; ok && idx.N == ct.N {
-		c.mu.Unlock()
-		return idx, nil
+	if e := c.entries[t.Name]; e != nil && e.t == t {
+		if idx, ok := e.builds[sig]; ok && idx.N == ct.N {
+			c.mu.Unlock()
+			return idx, nil
+		}
 	}
 	c.mu.Unlock()
 	idx, err := relation.BuildJoinIndex(ctx, ct, keys)
@@ -182,52 +180,36 @@ func (c *ExecCache) joinIndex(ctx context.Context, t *relation.Table, ct *relati
 		return nil, err
 	}
 	c.mu.Lock()
-	if c.builds == nil || len(c.builds) >= execCacheCap {
-		c.builds = make(map[buildKey]*relation.JoinIndex)
+	if e := c.entries[t.Name]; e != nil && e.t == t {
+		e.builds[sig] = idx
 	}
-	c.builds[key] = idx
 	c.mu.Unlock()
 	return idx, nil
 }
 
-// Forget drops the columnar images and join builds of the given tables.
-// Entries are keyed by pointer, so a table read by one statement only (a
-// fetch from a remote site) would otherwise stay reachable until its map
-// next fills; callers release such tables once the statement is done.
+// Forget drops the cached state of the given tables, leaving any other
+// version of the same name in place. A table read by one statement only
+// (a fetch from a remote site) would otherwise hold its name's entry
+// until that name is read again; callers release such tables once the
+// statement is done.
 func (c *ExecCache) Forget(ts ...*relation.Table) {
-	if len(ts) == 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, t := range ts {
-		delete(c.cols, t)
-	}
-	for k := range c.builds {
-		for _, t := range ts {
-			if k.t == t {
-				delete(c.builds, k)
-				break
-			}
+		if e, ok := c.entries[t.Name]; ok && e.t == t {
+			delete(c.entries, t.Name)
 		}
 	}
 }
 
-// Names returns the names of the tables the cache holds an image or a
-// join build for, sorted, one entry per cached table version.
+// Names returns the names of the tables the cache holds an entry for,
+// sorted.
 func (c *ExecCache) Names() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	held := make(map[*relation.Table]bool, len(c.cols))
-	for t := range c.cols {
-		held[t] = true
-	}
-	for k := range c.builds {
-		held[k.t] = true
-	}
-	names := make([]string, 0, len(held))
-	for t := range held {
-		names = append(names, t.Name)
+	names := make([]string, 0, len(c.entries))
+	for name := range c.entries {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names

@@ -251,6 +251,73 @@ func TestExecCacheSeesAppends(t *testing.T) {
 	}
 }
 
+// TestExecCacheOneEntryPerName publishes K successive versions of the
+// join's build-side table, each a fresh pointer the way a replica apply
+// publishes one. The cache must hold one entry per table name throughout,
+// an append to the current pointer must still refresh its image and join
+// build, and Forget with a stale pointer must leave the current version's
+// entry in place.
+func TestExecCacheOneEntryPerName(t *testing.T) {
+	cat := testCatalog(t)
+	cache := NewExecCache()
+	q := "SELECT c_nation, count(*) AS n, sum(o_total) AS s FROM customers, orders WHERE c_id = o_cust GROUP BY c_nation ORDER BY c_nation"
+	stmt, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		got, err := ExecuteWith(context.Background(), stmt, cat, Options{Cache: cache})
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		want, err := ExecuteWith(context.Background(), stmt, cat, Options{Engine: EngineTreeWalk})
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", step, err)
+		}
+		requireSameTable(t, q+" ("+step+")", want, got)
+		if names := fmt.Sprint(cache.Names()); names != "[customers orders]" {
+			t.Fatalf("%s: cache holds %s, want one entry per table", step, names)
+		}
+	}
+	check("first read")
+	var versions []*relation.Table
+	for k := 0; k < 6; k++ {
+		cur, err := cat.Table("customers")
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, cur)
+		next := cur.Clone()
+		id := int64(10 + k)
+		next.MustInsert(relation.Row{relation.IntVal(id), relation.StrVal(fmt.Sprint("c", id)), relation.StrVal("IT")})
+		cat.Add("customers", next)
+		// Orders for the new customer make the join see the new version.
+		orders, err := cat.Table("orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		orders.MustInsert(relation.Row{relation.IntVal(200 + id), relation.IntVal(id), relation.FloatVal(1), relation.DateOf(2021, 1, 1)})
+		check(fmt.Sprint("version ", k+1))
+	}
+
+	cur, err := cat.Table("customers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur.MustInsert(relation.Row{relation.IntVal(2), relation.StrVal("bob2"), relation.StrVal("ES")})
+	check("append in place")
+
+	cache.Forget(versions...)
+	if names := fmt.Sprint(cache.Names()); names != "[customers orders]" {
+		t.Fatalf("forgetting stale versions left %s, want the current entries kept", names)
+	}
+	cache.Forget(cur)
+	if names := fmt.Sprint(cache.Names()); names != "[orders]" {
+		t.Fatalf("forgetting the current version left %s, want [orders]", names)
+	}
+}
+
 // TestPrepareSchemaChangeFallsBack swaps a table for one with a
 // different schema after Prepare: the raw ExecuteContext must decline
 // with the fallback sentinel rather than run a stale plan, and the
